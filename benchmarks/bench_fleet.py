@@ -18,6 +18,7 @@ exactly.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -56,13 +57,21 @@ def test_bench_cohort_pass(benchmark):
 def test_bench_million_device_pass(benchmark, simulator, show):
     """The linear half: 1M devices streamed into shard aggregates."""
 
-    report = benchmark.pedantic(
-        simulator.simulate, args=(FLEET_DEVICES,), rounds=1, iterations=1
-    )
+    # Timed here rather than from benchmark.stats, which is absent
+    # under --benchmark-disable.
+    timing = {}
+
+    def simulate():
+        start = time.perf_counter()
+        report = simulator.simulate(FLEET_DEVICES)
+        timing["wall_s"] = time.perf_counter() - start
+        return report
+
+    report = benchmark.pedantic(simulate, rounds=1, iterations=1)
     assert report.devices == FLEET_DEVICES
     assert report.shards == -(-FLEET_DEVICES // simulator.shard_size)
     summary = report.summary()
-    rate = FLEET_DEVICES / max(benchmark.stats.stats.mean, 1e-9)
+    rate = FLEET_DEVICES / max(timing["wall_s"], 1e-9)
     show(format_table(
         ["metric", "value"],
         [[k, v] for k, v in summary.items()]

@@ -396,6 +396,36 @@ def fig1_usage_timeline(
 # ---------------------------------------------------------------------------
 
 
+def mdt_footprint_scan(
+    spec: BenchmarkSpec,
+    coverage_factor: float,
+    org=None,
+    entries: int = 1024,
+):
+    """An MDT marked by ``spec``'s address-only stream over its full footprint.
+
+    Replays ``coverage_factor`` accesses per footprint line as line runs.
+    The scan stops once every region the footprint's extents touch is
+    marked: the stream never leaves those extents, so the rest of it could
+    not change the table.
+    """
+    from repro.core.mdt import MemoryDowngradeTracker
+
+    mdt = MemoryDowngradeTracker(org, entries=entries)
+    generator = spec.generator()
+    ceiling = len(set().union(*(
+        span
+        for start, count in generator.footprint_extents
+        for span in mdt.line_run_regions(start, count)
+    )))
+    n_accesses = int(coverage_factor * spec.footprint_bytes / 64)
+    for first, count in generator.iter_read_runs(n_accesses):
+        mdt.record_line_run(first, count)
+        if mdt.marked_count == ceiling:
+            break
+    return mdt
+
+
 def fig11_mdt_tracking(
     benchmarks: tuple[BenchmarkSpec, ...] = ALL_BENCHMARKS,
     coverage_factor: float = 3.0,
@@ -408,16 +438,10 @@ def fig11_mdt_tracking(
     the MDT would scan on idle entry, plus the resulting ECC-Upgrade time
     (the Sec. VI-A 400 ms -> 50 ms claim).
     """
-    from repro.core.mdt import MemoryDowngradeTracker
-
     device = DramDevice()
     out: dict[str, dict[str, float]] = {}
     for spec in benchmarks:
-        mdt = MemoryDowngradeTracker(device.org, entries=mdt_entries)
-        n_accesses = int(coverage_factor * spec.footprint_bytes / 64)
-        generator = spec.generator()
-        for address in generator.iter_read_addresses(n_accesses):
-            mdt.record_downgrade(address)
+        mdt = mdt_footprint_scan(spec, coverage_factor, device.org, mdt_entries)
         tracked_mb = mdt.tracked_bytes / (1 << 20)
         out[spec.name] = {
             "tracked_mb": tracked_mb,

@@ -12,7 +12,6 @@ can be checked:
 
 from __future__ import annotations
 
-from repro.core.mdt import MemoryDowngradeTracker
 from repro.core.mode_bits import misresolve_probability, tie_probability
 from repro.dram.device import DramDevice
 from repro.power.calculator import DramPowerCalculator
@@ -35,15 +34,12 @@ def mdt_entry_sweep(
     Fewer entries mean coarser regions: the same footprint maps to more
     tracked bytes (false sharing of regions), so upgrade time rises.
     """
+    from repro.analysis.experiments import mdt_footprint_scan
+
     device = DramDevice()
-    addresses = list(
-        spec.generator().iter_read_addresses(int(coverage_factor * spec.footprint_bytes / 64))
-    )
     out: dict[int, dict[str, float]] = {}
     for entries in entry_counts:
-        mdt = MemoryDowngradeTracker(device.org, entries=entries)
-        for address in addresses:
-            mdt.record_downgrade(address)
+        mdt = mdt_footprint_scan(spec, coverage_factor, device.org, entries)
         out[entries] = {
             "storage_bytes": mdt.storage_bytes,
             "tracked_mb": mdt.tracked_bytes / (1 << 20),

@@ -388,4 +388,5 @@ class WorkerChaosCampaign:
             workers_evicted=summary.get("workers_evicted", 0),
             workers_quarantined=summary.get("workers_quarantined", 0),
             mismatches=mismatches,
+            missing_events=missing,
         )

@@ -61,6 +61,51 @@ class MemoryDowngradeTracker:
                     "mdt", "set", region=region, marked=len(self._marked)
                 )
 
+    def line_run_regions(self, first_line: int, count: int) -> list[range]:
+        """Region ranges the lines ``first_line .. first_line+count-1`` touch.
+
+        In address order, split where the run wraps at the memory
+        capacity (the modulo :meth:`region_of` applies).  Consecutive
+        line addresses step by at most one region, so each non-wrapping
+        piece touches every region between its first and last line.
+        """
+        if first_line < 0 or count < 0:
+            raise ConfigurationError("line run must be non-negative")
+        line_bytes = self.org.line_bytes
+        capacity = self.org.capacity_bytes
+        region_bytes = self.region_bytes
+        address = first_line * line_bytes % capacity
+        spans = []
+        while count:
+            fit = min(count, -(-(capacity - address) // line_bytes))
+            last = address + (fit - 1) * line_bytes
+            spans.append(range(address // region_bytes, last // region_bytes + 1))
+            count -= fit
+            if len(spans) == 2:
+                # The second piece starts in region 0: if the run goes on,
+                # that piece reached the top and every region is covered.
+                break
+            address = (address + fit * line_bytes) % capacity
+        return spans
+
+    def record_line_run(self, first_line: int, count: int) -> None:
+        """Set the bits for a run of consecutive downgraded lines.
+
+        Marks what ``count`` :meth:`record_downgrade` calls over the
+        run's line addresses would, with the same ``mdt/set`` events in
+        the same order when a tracer is attached.
+        """
+        for span in self.line_run_regions(first_line, count):
+            if self.tracer is None:
+                self._marked.update(span)
+                continue
+            for region in span:
+                if region not in self._marked:
+                    self._marked.add(region)
+                    self.tracer.emit(
+                        "mdt", "set", region=region, marked=len(self._marked)
+                    )
+
     def is_marked(self, region: int) -> bool:
         if not 0 <= region < self.entries:
             raise ConfigurationError(f"region {region} out of range")

@@ -144,8 +144,12 @@ class DispatchBackend:
             faults = list(self.config.worker_faults)
             for i in range(self.config.workers):
                 fault = faults[i] if i < len(faults) else ("none", 0.0)
+                if i and i == len(faults):
+                    # Chaos runs: the faulted workers join and lease before
+                    # any healthy one exists, so every fault meets a job.
+                    await self._await_workers(coordinator, spawned, i)
                 spawned.append(spawn_local_worker(host, port, i, fault=tuple(fault)))
-            await self._await_first_worker(coordinator, spawned)
+            await self._await_workers(coordinator, spawned, 1)
             await coordinator.run()
         finally:
             self.summary = coordinator.summary()
@@ -166,11 +170,11 @@ class DispatchBackend:
                 leftover.append((index, spec))
         return failed, leftover
 
-    async def _await_first_worker(self, coordinator, spawned) -> None:
-        """Block until a worker registers; unavailable if none ever does."""
+    async def _await_workers(self, coordinator, spawned, count: int) -> None:
+        """Block until ``count`` workers registered; unavailable if they never do."""
         deadline = time.monotonic() + self.config.worker_wait_s
         while time.monotonic() < deadline:
-            if coordinator.workers_joined > 0:
+            if coordinator.workers_joined >= count:
                 return
             if spawned and all(proc.poll() is not None for proc in spawned):
                 raise DispatchUnavailableError(

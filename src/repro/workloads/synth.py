@@ -10,9 +10,11 @@ Two output paths:
 * :meth:`SyntheticTraceGenerator.generate` — full trace for the cycle
   simulator (perf/power experiments), using a *working set* sized to the
   run length so the cold-miss fraction matches the paper's steady state.
-* :meth:`SyntheticTraceGenerator.iter_read_addresses` — address-only fast
-  path over the benchmark's *full* footprint, for footprint/MDT studies
-  (paper Table III, Fig. 11) where no timing is needed.
+* :meth:`SyntheticTraceGenerator.iter_read_runs` — address-only fast
+  path over the benchmark's *full* footprint, as runs of consecutive
+  lines, for footprint/MDT studies (paper Table III, Fig. 11) where no
+  timing is needed.  :meth:`~SyntheticTraceGenerator.iter_read_addresses`
+  expands it to one byte address per read.
 """
 
 from __future__ import annotations
@@ -212,33 +214,62 @@ class SyntheticTraceGenerator:
             instrs_done += phase_done
         return Trace(name=self.name, records=records, nonmem_cpi=self.nonmem_cpi)
 
-    def iter_read_addresses(self, n_accesses: int):
-        """Fast address-only stream over the *full* footprint.
+    @property
+    def footprint_extents(self) -> list[tuple[int, int]]:
+        """(start_line, line_count) extents of the *full* footprint.
 
-        Yields byte addresses of demand reads; used by footprint and MDT
-        experiments (Table III, Fig. 11) that need full-scale coverage
-        without cycle simulation.
+        Every line :meth:`iter_read_runs` yields lies inside one of them.
+        """
+        return self._segment_extents(self.footprint_bytes)
+
+    def iter_read_runs(self, n_accesses: int):
+        """Address-only stream over the full footprint, as line runs.
+
+        Yields ``(first_line, count)`` runs of consecutive lines whose
+        counts sum to exactly ``n_accesses``: one run per sequential
+        stream (split where the stream wraps at its extent's end) and a
+        one-line run per random access.  The RNG draws are those of a
+        per-access walk, so expanding the runs gives the exact stream of
+        :meth:`iter_read_addresses`.
         """
         if n_accesses < 0:
             raise ConfigurationError("n_accesses must be non-negative")
-        extents = self._segment_extents(self.footprint_bytes)
+        extents = self.footprint_extents
         rng = random.Random(self.seed ^ 0x5EED)
-        positions = [start for start, _ in extents]
-        current = 0
-        left = 0
-        for _ in range(n_accesses):
-            if left > 0:
-                left -= 1
-            elif rng.random() < max(self.stream_fraction, 0.5):
-                # Footprint coverage relies on streams; floor the share so
-                # even random-heavy benchmarks sweep their data (as real
-                # applications do over billions of instructions).
+        # Footprint coverage relies on streams; floor the share so even
+        # random-heavy benchmarks sweep their data (as real applications
+        # do over billions of instructions).
+        stream_share = max(self.stream_fraction, 0.5)
+        # Offset of the last line each extent's stream emitted.
+        offsets = [0] * len(extents)
+        left = n_accesses
+        while left > 0:
+            if rng.random() < stream_share:
                 current = rng.randrange(len(extents))
-                left = max(0, int(rng.expovariate(1.0 / (4 * STREAM_RUN_MEAN))) - 1)
+                length = min(
+                    left, max(1, int(rng.expovariate(1.0 / (4 * STREAM_RUN_MEAN))))
+                )
+                left -= length
+                start, count = extents[current]
+                offset = offsets[current]
+                offsets[current] = (offset + length) % count
+                while length:
+                    offset = (offset + 1) % count
+                    chunk = min(length, count - offset)
+                    yield start + offset, chunk
+                    offset += chunk - 1
+                    length -= chunk
             else:
                 start, count = extents[rng.randrange(len(extents))]
-                yield (start + rng.randrange(count)) * LINE_BYTES
-                continue
-            start, count = extents[current]
-            positions[current] = start + (positions[current] - start + 1) % count
-            yield positions[current] * LINE_BYTES
+                yield start + rng.randrange(count), 1
+                left -= 1
+
+    def iter_read_addresses(self, n_accesses: int):
+        """Fast address-only stream over the *full* footprint.
+
+        Yields byte addresses of demand reads; the per-address expansion
+        of :meth:`iter_read_runs`.
+        """
+        for first, count in self.iter_read_runs(n_accesses):
+            for line in range(first, first + count):
+                yield line * LINE_BYTES

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis import experiments as X
 from repro.sim.system import ScaledRun
 from repro.workloads.spec import BENCHMARKS_BY_NAME
+from repro.workloads.synth import SyntheticTraceGenerator
+from tests.workloads.scalar_oracle import scalar_fig11
 
 RUN = ScaledRun(instructions=80_000)
 SUBSET = tuple(
@@ -116,6 +118,31 @@ class TestEnhancementExhibits:
         row = out["libq"]
         assert row["tracked_mb"] == pytest.approx(row["footprint_mb"], rel=0.25)
         assert row["upgrade_ms"] < 400.0
+
+    @pytest.mark.parametrize("coverage_factor", [0.2, 2.0])
+    def test_fig11_equals_per_address_scan(self, coverage_factor):
+        subset = tuple(
+            BENCHMARKS_BY_NAME[n] for n in ("povray", "gamess", "tonto", "hmmer")
+        )
+        assert X.fig11_mdt_tracking(subset, coverage_factor) == scalar_fig11(
+            subset, coverage_factor
+        )
+
+    def test_footprint_scan_stops_at_the_extent_ceiling(self, monkeypatch):
+        """Once every footprint region is marked, the stream is dropped."""
+        consumed = []
+        runs = SyntheticTraceGenerator.iter_read_runs
+
+        def counted(self, n_accesses):
+            for run in runs(self, n_accesses):
+                consumed.append(run[1])
+                yield run
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "iter_read_runs", counted)
+        spec = BENCHMARKS_BY_NAME["povray"]
+        mdt = X.mdt_footprint_scan(spec, coverage_factor=50.0)
+        assert mdt.marked_count == 6  # 3 extents, each straddling 2 regions
+        assert sum(consumed) < 2 * spec.footprint_bytes / 64
 
     def test_fig14_gradient(self):
         out = X.fig14_smd_disabled(RUN, SUBSET)

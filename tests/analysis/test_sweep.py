@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import sweep
 from repro.sim.system import ScaledRun
 from repro.workloads.spec import BENCHMARKS_BY_NAME
+from tests.workloads.scalar_oracle import scalar_entry_sweep
 
 
 class TestMdtSweep:
@@ -24,6 +25,13 @@ class TestMdtSweep:
         for row in out.values():
             expected_ms = row["tracked_mb"] / 1024 * 400.0
             assert row["upgrade_ms"] == pytest.approx(expected_ms, rel=0.1)
+
+    def test_equals_per_address_scan(self):
+        spec = BENCHMARKS_BY_NAME["povray"]
+        entries = (128, 256, 512, 1024, 2048, 4096)
+        assert sweep.mdt_entry_sweep(spec, entries) == scalar_entry_sweep(
+            spec, entries, coverage_factor=3.0
+        )
 
 
 class TestModeBitSweep:

@@ -40,6 +40,42 @@ class TestCampaignEndToEnd:
         assert by_name["flaky"].retried_failures >= 1
 
 
+class TestSignatureEventGate:
+    def test_scenario_whose_event_never_fires_fails(self, monkeypatch):
+        """A clean run whose fault left no ledger trace is not a pass."""
+        import repro.analysis.runner as runner
+        import repro.dispatch as dispatch
+
+        class Result:
+            def __init__(self, index):
+                self.index = index
+
+            def to_dict(self):
+                return {"index": self.index}
+
+        class QuietBackend:
+            summary = {"requeues": 0, "duplicates": 0, "retried_failures": 0}
+
+            def __init__(self, config):
+                pass
+
+            def execute(self, pending, harvest):
+                for index, spec in pending:
+                    harvest(index, (Result(index),))
+                return [], []
+
+        specs = WorkerChaosCampaign()._specs()
+        monkeypatch.setattr(
+            runner, "execute_job", lambda spec: (Result(specs.index(spec)),)
+        )
+        monkeypatch.setattr(dispatch, "DispatchBackend", QuietBackend)
+        report = WorkerChaosCampaign(resolve_worker_scenarios(["kill"])).run()
+        (record,) = report.records
+        assert record.lost == record.mismatches == record.failed == 0
+        assert record.missing_events == ("requeues",)
+        assert not report.ok
+
+
 class TestRegistry:
     def test_every_scenario_is_registered_with_a_fault(self):
         assert set(WORKER_SCENARIOS) == {

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 from repro.core.mdt import MemoryDowngradeTracker
 from repro.dram.config import DramOrganization
 from repro.errors import ConfigurationError
+from repro.obs.trace import EventTracer
+
+LINES_PER_GB = (1 << 30) // 64
+LINES_PER_MB = (1 << 20) // 64
 
 
 @pytest.fixture
@@ -62,6 +66,78 @@ class TestTracking:
     def test_is_marked_bounds(self, mdt):
         with pytest.raises(ConfigurationError):
             mdt.is_marked(1024)
+
+
+def traced(entries=1024):
+    mdt = MemoryDowngradeTracker(entries=entries)
+    mdt.tracer = EventTracer()
+    return mdt
+
+
+def replay(mdt, runs, per_address):
+    for first, count in runs:
+        if per_address:
+            for line in range(first, first + count):
+                mdt.record_downgrade(line * 64)
+        else:
+            mdt.record_line_run(first, count)
+    return mdt
+
+
+def events(mdt):
+    return [(e.kind, e.data) for e in mdt.tracer.events]
+
+
+class TestLineRuns:
+    """``record_line_run`` marks (and traces) what per-line calls would."""
+
+    RUNS = {
+        "inside-one-region": [(5 * LINES_PER_MB + 3, 100)],
+        "straddles-boundary": [(LINES_PER_MB - 2, 5)],
+        "spans-many-regions": [(3 * LINES_PER_MB - 1, 4 * LINES_PER_MB + 2)],
+        "ends-on-last-line": [(LINES_PER_GB - 7, 7)],
+        "wraps-capacity": [(LINES_PER_GB - 3, 2 * LINES_PER_MB)],
+        "starts-beyond-capacity": [(LINES_PER_GB + 7 * LINES_PER_MB - 1, 3)],
+        "revisits-marked": [(0, 10), (LINES_PER_MB, 1), (5, LINES_PER_MB + 10)],
+        "empty": [(12, 0)],
+    }
+
+    @pytest.mark.parametrize("entries", [128, 1024, 4096])
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_matches_per_line_downgrades(self, case, entries):
+        runs = self.RUNS[case]
+        scalar = replay(traced(entries), runs, per_address=True)
+        ranged = replay(traced(entries), runs, per_address=False)
+        assert ranged.marked_regions == scalar.marked_regions
+        assert events(ranged) == events(scalar)
+
+    def test_untraced_matches_traced(self):
+        runs = self.RUNS["wraps-capacity"] + self.RUNS["spans-many-regions"]
+        plain = replay(MemoryDowngradeTracker(), runs, per_address=False)
+        assert plain.marked_regions == replay(traced(), runs, False).marked_regions
+
+    def test_events_in_address_order(self):
+        mdt = replay(traced(), [(LINES_PER_GB - LINES_PER_MB, 2 * LINES_PER_MB)], False)
+        assert [data["region"] for _, data in events(mdt)] == [1023, 0]
+        assert [data["marked"] for _, data in events(mdt)] == [1, 2]
+
+    def test_run_longer_than_capacity_marks_everything(self):
+        mdt = MemoryDowngradeTracker(entries=128)
+        mdt.record_line_run(LINES_PER_MB // 2, 3 * LINES_PER_GB)
+        assert mdt.marked_count == 128
+
+    def test_line_run_regions_split_at_the_wrap(self, mdt):
+        assert mdt.line_run_regions(LINES_PER_GB - 1, 2 * LINES_PER_MB) == [
+            range(1023, 1024),
+            range(0, 2),
+        ]
+        assert mdt.line_run_regions(7, 0) == []
+
+    def test_rejects_negative_runs(self, mdt):
+        with pytest.raises(ConfigurationError):
+            mdt.record_line_run(-1, 4)
+        with pytest.raises(ConfigurationError):
+            mdt.record_line_run(0, -4)
 
 
 class TestConfiguration:

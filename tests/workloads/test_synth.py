@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.types import MemoryOp
+from repro.workloads.spec import ALL_BENCHMARKS
 from repro.workloads.synth import LINE_BYTES, Phase, SyntheticTraceGenerator
+from tests.workloads.scalar_oracle import scalar_read_addresses
 
 
 def make_generator(**kwargs):
@@ -130,6 +132,68 @@ class TestAddressOnlyPath:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             list(make_generator().iter_read_addresses(-1))
+
+
+def expand(runs):
+    return [
+        line * LINE_BYTES for first, count in runs for line in range(first, first + count)
+    ]
+
+
+class TestReadRuns:
+    """``iter_read_runs`` expands to exactly the per-access walk."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 33, 5_000])
+    def test_matches_oracle_at_any_length(self, n):
+        """Cuts before, inside and after the first streams."""
+        generator = make_generator()
+        assert expand(generator.iter_read_runs(n)) == list(
+            scalar_read_addresses(generator, n)
+        )
+
+    @pytest.mark.parametrize("spec", ALL_BENCHMARKS[::5], ids=lambda s: s.name)
+    def test_matches_oracle_on_benchmarks(self, spec):
+        generator = spec.generator()
+        assert expand(generator.iter_read_runs(20_000)) == list(
+            scalar_read_addresses(generator, 20_000)
+        )
+
+    @pytest.mark.parametrize("footprint_bytes", [64, 3 * 64, 40 * 64, 1000 * 64])
+    @pytest.mark.parametrize("stream_fraction", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3, 2015])
+    def test_matches_oracle_on_tiny_footprints(self, footprint_bytes, stream_fraction, seed):
+        """Streams wrap their extents many times over."""
+        for segments in (1, 3):
+            generator = make_generator(
+                footprint_bytes=footprint_bytes,
+                stream_fraction=stream_fraction,
+                segments=segments,
+                seed=seed,
+            )
+            assert expand(generator.iter_read_runs(3_000)) == list(
+                scalar_read_addresses(generator, 3_000)
+            )
+
+    def test_runs_sum_to_n_and_stay_inside_extents(self):
+        generator = make_generator(footprint_bytes=40 * 64, stream_fraction=1.0)
+        runs = list(generator.iter_read_runs(2_000))
+        assert sum(count for _, count in runs) == 2_000
+        assert all(count >= 1 for _, count in runs)
+        extents = generator.footprint_extents
+        for first, count in runs:
+            assert any(
+                start <= first and first + count <= start + size
+                for start, size in extents
+            )
+
+    def test_streams_come_out_as_runs(self):
+        generator = make_generator(stream_fraction=1.0)
+        runs = list(generator.iter_read_runs(10_000))
+        assert len(runs) < 10_000 / 10
+
+    def test_rejects_negative(self):
+        with pytest.raises(ConfigurationError):
+            list(make_generator().iter_read_runs(-1))
 
 
 class TestValidation:
