@@ -37,13 +37,14 @@ PERF_POLICIES = ("baseline", "secded", "ecc6", "mecc")
 
 #: In-process memo: JobSpec -> JobOutcome (L1 above the runner's disk cache).
 _result_cache: dict[JobSpec, JobOutcome] = {}
+#: (frozen BenchmarkSpec, instructions) -> Trace; a reseeded spec is a new key.
 _trace_cache: dict = {}
 
 
 def _trace_for(spec: BenchmarkSpec, run: ScaledRun):
     from repro.analysis import runner as _runner
 
-    key = (spec.name, run.instructions)
+    key = (spec, run.instructions)
     if key not in _trace_cache:
         _trace_cache[key] = _runner.trace_for(spec, run.instructions)
     return _trace_cache[key]
@@ -486,10 +487,13 @@ def table3_characterization(
     """
     run = run or ScaledRun()
     suites = run_policy_suites(tuple(benchmarks), run, policies=("baseline",))
+    by_name = {spec.name: spec for spec in benchmarks}
     rows: dict[str, dict[str, float]] = {}
     for cls in MpkiClass:
-        members = benchmarks_in_class(cls)
-        members = [m for m in members if m in benchmarks]
+        # The passed specs (reseeded ones included), in Fig. 7 class order.
+        members = [
+            by_name[m.name] for m in benchmarks_in_class(cls) if m.name in by_name
+        ]
         if not members:
             continue
         ipc = mpki = fp = 0.0

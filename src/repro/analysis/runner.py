@@ -224,14 +224,15 @@ _CODE_FINGERPRINT: str | None = None
 # Job execution (importable at module top level so it pickles to workers)
 # ---------------------------------------------------------------------------
 
-#: Per-process trace memo; worker processes forked from the parent start
-#: with the parent's already-calibrated traces.
+#: Per-process trace memo keyed by the frozen spec itself (its seed and
+#: model, not just its name); worker processes forked from the parent
+#: start with the parent's already-calibrated traces.
 _TRACE_MEMO: dict = {}
 
 
 def trace_for(benchmark: BenchmarkSpec, instructions: int):
     """Generate (and memoize per process) one benchmark's perf trace."""
-    memo_key = (benchmark.name, instructions)
+    memo_key = (benchmark, instructions)
     if memo_key not in _TRACE_MEMO:
         _TRACE_MEMO[memo_key] = benchmark.trace(instructions)
     return _TRACE_MEMO[memo_key]

@@ -36,6 +36,8 @@ class EccPolicy:
     def __init__(self, name: str, decode_cycles: int = 0):
         self.name = name
         self._decode_cycles = decode_cycles
+        #: Every read of a fixed-latency policy gets this same action.
+        self._read_action = ReadAction(decode_cycles=decode_cycles)
         self.strong_decodes = 0
         self.weak_decodes = 0
         self.downgrades = 0
@@ -66,7 +68,7 @@ class EccPolicy:
     def on_read(self, byte_address: int, now: int) -> ReadAction:
         """Called for every demand read at processor cycle ``now``."""
         self.weak_decodes += 1
-        return ReadAction(decode_cycles=self._decode_cycles)
+        return self._read_action
 
     def on_write(self, byte_address: int, now: int) -> None:
         """Called for every write-back; default: nothing extra."""
@@ -117,7 +119,7 @@ class Ecc6Policy(EccPolicy):
 
     def on_read(self, byte_address: int, now: int) -> ReadAction:
         self.strong_decodes += 1
-        return ReadAction(decode_cycles=self._decode_cycles)
+        return self._read_action
 
 
 class MeccPolicy(EccPolicy):

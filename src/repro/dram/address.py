@@ -45,15 +45,18 @@ class AddressMapper:
             )
         self.org = org or DramOrganization()
         self.policy = policy
+        self._line_bytes = self.org.line_bytes
+        self._total_lines = self.org.total_lines
         self._lines_per_row = self.org.lines_per_row
         self._banks = self.org.banks * self.org.ranks * self.org.channels
         self._rows = self.org.rows
+        self._row_interleaved = policy == "row-interleaved"
 
     def line_address(self, byte_address: int) -> int:
         """Line index of a byte address."""
         if byte_address < 0:
             raise ConfigurationError("address must be non-negative")
-        return byte_address // self.org.line_bytes
+        return byte_address // self._line_bytes
 
     def locate(self, byte_address: int) -> LineLocation:
         """Coordinates of the line containing ``byte_address``.
@@ -61,8 +64,8 @@ class AddressMapper:
         Addresses beyond capacity wrap (traces are generated modulo the
         footprint, so this is a guard, not a normal path).
         """
-        line = self.line_address(byte_address) % self.org.total_lines
-        if self.policy == "row-interleaved":
+        line = self.line_address(byte_address) % self._total_lines
+        if self._row_interleaved:
             column_line = line % self._lines_per_row
             line //= self._lines_per_row
             bank = line % self._banks

@@ -17,10 +17,9 @@ show up as a small power/performance cost (paper Fig. 9).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dram.address import AddressMapper
-from repro.dram.bank import Bank
 from repro.dram.config import PROC_HZ, DramOrganization, DramTimings
 from repro.errors import ConfigurationError
 from repro.power.calculator import BankUtilization
@@ -47,7 +46,14 @@ class ControllerStats:
 
 
 class MemoryController:
-    """Single-channel memory controller over a set of banks.
+    """Memory controller over a set of banks on one or more channels.
+
+    Per-bank state lives in three flat lists indexed by the global bank
+    number: :attr:`open_row` (``None`` when precharged), :attr:`ready_at`
+    (earliest start of the bank's next command) and :attr:`last_act_at`
+    (start of its most recent ACT, for tRAS/tRC).  Every organization and
+    timing value the per-access path reads is derived once, at
+    construction, into a plain attribute.
 
     Args:
         org: DRAM organization (capacity, banks, rows, line size).
@@ -57,6 +63,7 @@ class MemoryController:
         powerdown_gap_cycles: an idle gap at least this long (processor
             cycles) puts the rank into precharge power-down; waking costs
             ``t_xp``.
+        mapping_policy: address mapping (see :mod:`repro.dram.address`).
     """
 
     def __init__(
@@ -75,26 +82,41 @@ class MemoryController:
         if write_queue_capacity < 1:
             raise ConfigurationError("write_queue_capacity must be >= 1")
         self.mapper = AddressMapper(self.org, policy=mapping_policy)
-        self.banks = [Bank(self.timings) for _ in range(self.mapper.total_banks)]
         self.write_queue: deque[int] = deque()
         self.write_queue_capacity = write_queue_capacity
         self.write_drain_low = write_drain_low
         self.powerdown_gap_cycles = powerdown_gap_cycles
-        self.stats = ControllerStats()
         #: Optional :class:`repro.obs.trace.EventTracer`; only the *rare*
         #: events (forced drains, refresh collisions) emit, so the
         #: per-access service path carries no tracing cost.
         self.tracer = None
-        self._banks_per_channel = self.org.banks * self.org.ranks
-        self._data_bus_free_at = [0] * self.org.channels
-        self._busy_until = 0
-        self._next_refresh_at = self.timings.t_refi
         self._refresh_enabled = True
-        # ACT pacing per rank: last ACT start (tRRD) and a sliding window
-        # of the last four ACT starts (tFAW).
-        n_ranks = self.org.channels * self.org.ranks
-        self._last_act_start = [-(10 ** 12)] * n_ranks
-        self._act_window: list[deque[int]] = [deque(maxlen=4) for _ in range(n_ranks)]
+        # Address decode (see AddressMapper.locate).
+        org, t = self.org, self.timings
+        self._row_interleaved = mapping_policy == "row-interleaved"
+        self._line_bytes = org.line_bytes
+        self._total_lines = org.total_lines
+        self._lines_per_row = org.lines_per_row
+        self._rows = org.rows
+        self._n_banks = self.mapper.total_banks
+        self._banks_per_rank = org.banks
+        self._banks_per_channel = org.banks * org.ranks
+        self._n_ranks = org.channels * org.ranks
+        # Timing constants.
+        self._t_ras = t.t_ras
+        self._t_rp = t.t_rp
+        self._t_rc = t.t_rc
+        self._t_rrd = t.t_rrd
+        self._t_faw = t.t_faw
+        self._t_burst = t.t_burst
+        self._t_xp = t.t_xp
+        self._t_rfc = t.t_rfc
+        self._t_refi = t.t_refi
+        self._row_hit_latency = t.row_hit_latency
+        self._row_empty_latency = t.row_empty_latency
+        #: Idle time an opportunistic drain needs before ``now``.
+        self._drain_slot = 2 * t.t_burst
+        self.reset()
 
     # -- configuration hooks ---------------------------------------------------
 
@@ -110,15 +132,19 @@ class MemoryController:
         re-initialized so the controller can be reused without one run's
         stats or bank timestamps leaking into the next.
         """
-        self.banks = [Bank(self.timings) for _ in range(self.mapper.total_banks)]
+        n_banks = self._n_banks
+        self.open_row: list[int | None] = [None] * n_banks
+        self.ready_at = [0] * n_banks
+        self.last_act_at = [-(10 ** 12)] * n_banks
         self.write_queue.clear()
         self.stats = ControllerStats()
         self._data_bus_free_at = [0] * self.org.channels
         self._busy_until = 0
-        self._next_refresh_at = self.timings.t_refi
-        n_ranks = self.org.channels * self.org.ranks
-        self._last_act_start = [-(10 ** 12)] * n_ranks
-        self._act_window = [deque(maxlen=4) for _ in range(n_ranks)]
+        self._next_refresh_at = self._t_refi
+        # ACT pacing per rank: last ACT start (tRRD) and a sliding window
+        # of the last four ACT starts (tFAW).
+        self._last_act_start = [-(10 ** 12)] * self._n_ranks
+        self._act_window = [deque(maxlen=4) for _ in range(self._n_ranks)]
 
     # -- public request interface ----------------------------------------------
 
@@ -128,14 +154,18 @@ class MemoryController:
         Returns the cycle at which the data burst completes (excluding any
         ECC decode latency, which the simulation engine layers on top).
         """
-        self._opportunistic_drain(now)
-        if len(self.write_queue) >= self.write_queue_capacity:
-            self._drain_writes(now)
+        queue = self.write_queue
+        if queue:
+            if now - self._busy_until >= self._drain_slot:
+                self._opportunistic_drain(now)
+            if len(queue) >= self.write_queue_capacity:
+                self._drain_writes(now)
         # Completion times are whole processor cycles even if a caller
         # configured fractional (float) timings; latency stats stay ints.
         done = int(self._service(address, now))
-        self.stats.reads += 1
-        self.stats.read_latency_sum += done - now
+        stats = self.stats
+        stats.reads += 1
+        stats.read_latency_sum += done - now
         return done
 
     def write(self, address: int, now: int) -> None:
@@ -176,7 +206,7 @@ class MemoryController:
         enough to fit a burst before ``now`` — this is how ECC-Downgrade
         write-backs stay off the critical path (paper Sec. III-B).
         """
-        slot = 2 * self.timings.t_burst
+        slot = self._drain_slot
         while self.write_queue and now - self._busy_until >= slot:
             address = self.write_queue.popleft()
             self._service(address, self._busy_until)
@@ -196,65 +226,107 @@ class MemoryController:
             self.stats.writes += 1
 
     def _service(self, address: int, now: int) -> int:
-        """Common timing path for a 64B column access (read or write)."""
-        loc = self.mapper.locate(address)
+        """Common timing path for a 64B column access (read or write).
+
+        Each ``if x > y: y = x`` below stands for ``y = max(y, x)`` and
+        keeps its tie rule (the first argument wins), so float timings
+        give the same values and types as ``max`` did.
+        """
+        if address < 0:
+            raise ConfigurationError("address must be non-negative")
+        # Address decode: the arithmetic of AddressMapper.locate.
+        line = address // self._line_bytes % self._total_lines
+        if self._row_interleaved:
+            line //= self._lines_per_row
+            bank = line % self._n_banks
+            row = line // self._n_banks % self._rows
+        else:
+            bank = line % self._n_banks
+            row = line // self._n_banks // self._lines_per_row % self._rows
+        stats = self.stats
+        busy_until = self._busy_until
         begin = now
         # Aggressive power-down: a long-enough idle gap means the rank was
         # powered down and must pay the exit latency.
-        if begin - self._busy_until >= self.powerdown_gap_cycles:
-            begin += self.timings.t_xp
-            self.stats.powerdown_exits += 1
-        begin = self._apply_refresh(begin)
-        bank = self.banks[loc.bank]
-        rank = loc.bank // self.org.banks
-        # ACT pacing: if this access will open a row, respect tRRD (ACT to
-        # ACT, any bank of the rank) and tFAW (at most four ACTs per
-        # rolling window).
-        if bank.open_row != loc.row:
-            t = self.timings
-            begin = max(begin, self._last_act_start[rank] + t.t_rrd)
+        if begin - busy_until >= self.powerdown_gap_cycles:
+            begin += self._t_xp
+            stats.powerdown_exits += 1
+        # Auto-refresh: nothing to do until the next window has begun.
+        if begin >= self._next_refresh_at and self._refresh_enabled:
+            begin = self._apply_refresh(begin)
+        open_row = self.open_row
+        ready_at = self.ready_at
+        if open_row[bank] == row:
+            start = ready_at[bank]
+            if begin >= start:
+                start = begin
+            data_done = start + self._row_hit_latency
+            stats.row_hits += 1
+        else:
+            # ACT pacing: respect tRRD (ACT to ACT, any bank of the rank)
+            # and tFAW (at most four ACTs per rolling window).
+            rank = bank // self._banks_per_rank
+            last_act_start = self._last_act_start
+            floor = last_act_start[rank] + self._t_rrd
+            if floor > begin:
+                begin = floor
             window = self._act_window[rank]
             if len(window) == 4:
-                begin = max(begin, window[0] + t.t_faw)
-        data_done, row_hit, activates = bank.access(loc.row, begin)
-        if activates:
-            act_start = data_done - self.timings.row_empty_latency
-            self._last_act_start[rank] = max(self._last_act_start[rank], act_start)
-            self._act_window[rank].append(act_start)
+                floor = window[0] + self._t_faw
+                if floor > begin:
+                    begin = floor
+            start = ready_at[bank]
+            if begin >= start:
+                start = begin
+            last_act = self.last_act_at[bank]
+            if open_row[bank] is not None:
+                # Precharge may not start before tRAS after the ACT.
+                floor = last_act + self._t_ras
+                if floor > start:
+                    start = floor
+                start += self._t_rp
+            # ACT-to-ACT same bank must respect tRC.
+            floor = last_act + self._t_rc
+            if floor > start:
+                start = floor
+            self.last_act_at[bank] = start
+            open_row[bank] = row
+            data_done = start + self._row_empty_latency
+            act_start = data_done - self._row_empty_latency
+            if act_start > last_act_start[rank]:
+                last_act_start[rank] = act_start
+            window.append(act_start)
+            stats.activates += 1
         # Data-bus contention: the burst phase may not overlap a previous
         # burst on the same channel.
-        channel = loc.bank // self._banks_per_channel
-        data_start = data_done - self.timings.t_burst
-        if data_start < self._data_bus_free_at[channel]:
-            shift = self._data_bus_free_at[channel] - data_start
-            data_done += shift
-            bank.ready_at += shift
+        channel = bank // self._banks_per_channel
+        bus_free_at = self._data_bus_free_at[channel]
+        if data_done - self._t_burst < bus_free_at:
+            data_done += bus_free_at - (data_done - self._t_burst)
+        ready_at[bank] = data_done
         self._data_bus_free_at[channel] = data_done
-        self.stats.activates += activates
-        if row_hit:
-            self.stats.row_hits += 1
         # Busy-time envelope for the power model.
-        overlap_start = max(begin, self._busy_until)
+        overlap_start = busy_until if busy_until > begin else begin
         if data_done > overlap_start:
-            self.stats.busy_cycles += int(data_done - overlap_start)
-        self._busy_until = max(self._busy_until, data_done)
+            stats.busy_cycles += int(data_done - overlap_start)
+        if data_done > busy_until:
+            self._busy_until = data_done
         return data_done
 
     def _apply_refresh(self, begin: int) -> int:
-        """Delay ``begin`` past any auto-refresh window it collides with."""
-        if not self._refresh_enabled:
-            return begin
-        t = self.timings
+        """Delay ``begin`` past any auto-refresh window it collides with.
+
+        Called only with refresh enabled and a window begun by ``begin``.
+        """
         # Refreshes that completed before `begin` happened in idle gaps.
-        while self._next_refresh_at + t.t_rfc <= begin:
-            self._next_refresh_at += t.t_refi
+        while self._next_refresh_at + self._t_rfc <= begin:
+            self._next_refresh_at += self._t_refi
         if self._next_refresh_at <= begin:
             # Collision: wait out the refresh; rows are closed by it.
             stalled_from = begin
-            begin = self._next_refresh_at + t.t_rfc
-            self._next_refresh_at += t.t_refi
-            for bank in self.banks:
-                bank.precharge_all()
+            begin = self._next_refresh_at + self._t_rfc
+            self._next_refresh_at += self._t_refi
+            self.open_row[:] = [None] * self._n_banks
             self.stats.refresh_windows_hit += 1
             if self.tracer is not None:
                 self.tracer.emit(

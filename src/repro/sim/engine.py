@@ -75,6 +75,13 @@ class SimulationEngine:
             )
         controller.reset()
         policy.reset()
+        # Hot calls bound once per run.
+        READ = MemoryOp.READ
+        on_read = policy.on_read
+        on_write_batch = policy.on_write_batch
+        read = controller.read
+        write = controller.write
+        write_batch = controller.write_batch
         cpi = trace.nonmem_cpi
         retire = 0.0  # retirement clock, processor cycles
         reads = 0
@@ -87,15 +94,15 @@ class SimulationEngine:
             if record.gap:
                 retire += record.gap * cpi
             now = int(retire)
-            if record.op is MemoryOp.READ:
-                action = policy.on_read(record.address, now)
-                data_done = controller.read(record.address, now)
+            if record.op is READ:
+                action = on_read(record.address, now)
+                data_done = read(record.address, now)
                 # Cycle accounting is integral: only the retirement clock
                 # carries the sub-cycle remainder of gap retirement.
                 completion = int(data_done + action.decode_cycles)
                 if action.writeback:
                     # ECC-Downgrade re-encode: off the critical path.
-                    controller.write(record.address, completion)
+                    write(record.address, completion)
                 reads += 1
                 read_latency_sum += completion - now
                 retire = float(completion)
@@ -110,7 +117,7 @@ class SimulationEngine:
                 index += 1
                 while index < n_records:
                     record = records[index]
-                    if record.op is MemoryOp.READ:
+                    if record.op is READ:
                         break
                     if record.gap:
                         retire += record.gap * cpi
@@ -118,8 +125,8 @@ class SimulationEngine:
                     write_addresses.append(record.address)
                     write_nows.append(now)
                     index += 1
-                policy.on_write_batch(write_addresses, write_nows)
-                controller.write_batch(write_addresses, write_nows)
+                on_write_batch(write_addresses, write_nows)
+                write_batch(write_addresses, write_nows)
         total_cycles = max(1, int(retire))
         policy.on_run_end(total_cycles)
         if tracer is not None:

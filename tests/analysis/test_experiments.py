@@ -154,3 +154,14 @@ class TestEnhancementExhibits:
         out = X.table3_characterization(RUN, SUBSET)
         assert "Low-MPKI" in out and "High-MPKI" in out
         assert out["High-MPKI"]["mpki"] > out["Low-MPKI"]["mpki"]
+
+    def test_table3_rows_for_reseeded_benchmarks(self):
+        import dataclasses
+
+        reseeded = tuple(dataclasses.replace(b, seed=b.seed + 1) for b in SUBSET)
+        out = X.table3_characterization(RUN, reseeded)
+        assert set(out) == {"Low-MPKI", "Med-MPKI", "High-MPKI"}
+        seed0 = X.table3_characterization(RUN, SUBSET)
+        # Footprints come from the spec model, which the seed leaves alone.
+        for cls, row in out.items():
+            assert row["footprint_mb"] == seed0[cls]["footprint_mb"]

@@ -185,3 +185,38 @@ class TestManifest:
         runner.run([spec_for("baseline"), spec_for("mecc")])
         text = render_runner_summary(runner)
         assert "baseline" in text and "mecc" in text and "TOTAL" in text
+
+
+class TestTraceMemo:
+    """The per-process trace memo tells reseeded specs apart."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        from repro.analysis.runner import clear_trace_memo
+
+        clear_trace_memo()
+        yield
+        clear_trace_memo()
+
+    def test_reseeded_spec_gets_its_own_trace(self):
+        from repro.analysis import experiments as X
+        from repro.analysis.runner import trace_for
+
+        reseeded = dataclasses.replace(LIBQ, seed=LIBQ.seed + 1)
+        first = trace_for(LIBQ, RUN.instructions)
+        second = trace_for(reseeded, RUN.instructions)
+        assert second is not first
+        assert second.records == reseeded.trace(RUN.instructions).records
+        assert second.records != first.records
+        # Equal specs still share one trace, through either entry point.
+        assert trace_for(LIBQ, RUN.instructions) is first
+        assert X._trace_for(reseeded, RUN) is second
+
+    def test_reseeded_job_result_matches_a_fresh_process(self):
+        from repro.analysis.runner import clear_trace_memo, execute_job
+
+        reseeded = spec_for("baseline", benchmark=dataclasses.replace(LIBQ, seed=7))
+        execute_job(spec_for("baseline", benchmark=LIBQ))  # primes the memo
+        after_seed0 = execute_job(reseeded)[0]
+        clear_trace_memo()
+        assert execute_job(reseeded)[0] == after_seed0
