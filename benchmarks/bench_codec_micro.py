@@ -134,15 +134,13 @@ def test_bench_line_codec_batch_strong(benchmark):
     assert all(r.data == d for r, d in zip(results, datas))
 
 
-@pytest.fixture(params=["matrix", "bitsliced", "numpy"])
+@pytest.fixture(params=available_backends())
 def batch_backend(request):
     """One concrete backend per parametrization, honoring ``--backend``."""
     name = request.param
     choice = request.config.getoption("--backend")
     if choice not in ("auto", "all") and choice != name:
         pytest.skip(f"--backend={choice} excludes {name}")
-    if name not in available_backends():
-        pytest.skip(f"{name} backend unavailable in this interpreter")
     set_backend(name)
     yield name
     set_backend(None if choice in ("auto", "all") else choice)
@@ -210,8 +208,7 @@ def test_backend_batch_speedup_floor(ecc6, backend_matrix_request):
     and prints the backend-column table; the floor is asserted on the
     combined (sum of the three passes) bitsliced/matrix ratio, the
     quantity the batched fault-injection and retention sweeps actually
-    pay.  The numpy column is informational: its per-row ``uint64``
-    folds trail the big-int lane engine on this codeword size.
+    pay.
 
     The backends are interleaved: every round times each backend's three
     passes back to back, so a slow spell on a shared host lands on all

@@ -42,7 +42,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--backend",
         default="auto",
-        choices=("auto", "matrix", "bitsliced", "numpy", "all"),
+        choices=("auto", "matrix", "bitsliced", "all"),
         help="codec backend for the bench session ('all': the per-backend "
         "microbenchmarks in bench_codec_micro compare every available one)",
     )
@@ -63,9 +63,8 @@ def backend_matrix_request(request):
     """Concrete backends the per-backend microbenchmarks should cover."""
     choice = request.config.getoption("--backend")
     if choice in ("auto", "all"):
-        return [n for n in ("matrix", "bitsliced", "numpy")
-                if n in available_backends()]
-    return [choice] if choice in available_backends() else []
+        return available_backends()
+    return [choice]
 
 
 @pytest.fixture(autouse=True, scope="session")

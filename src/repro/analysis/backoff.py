@@ -1,7 +1,7 @@
-"""Decorrelated-jitter retry backoff (shared by the runner and dispatch).
+"""Decorrelated-jitter retry backoff for the experiment runner's retries.
 
 Deterministic exponential doubling synchronizes retry storms: when many
-jobs fail together (a dead worker pool, a partitioned coordinator), they
+jobs fail together (a dead worker pool, say), they
 all come back at exactly ``base * 2**k`` and hammer the recovering
 resource in lockstep.  The decorrelated-jitter scheme breaks that
 alignment — each delay is drawn uniformly from ``[base, 3 * previous]``

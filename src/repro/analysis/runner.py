@@ -87,13 +87,6 @@ from repro.workloads.spec import BenchmarkSpec
 #: codec backend that computed each entry.
 CACHE_SCHEMA = 3
 
-#: Execution backends: "local" is the in-process pool, "dispatch" fans
-#: out to TCP workers (see :mod:`repro.dispatch`) with local fallback.
-RUNNER_BACKENDS = ("local", "dispatch")
-
-#: Environment variable selecting the default execution backend.
-BACKEND_ENV_VAR = "REPRO_RUNNER_BACKEND"
-
 #: Default cap on corrupt-entry files kept under ``<cache>/_quarantine/``.
 QUARANTINE_LIMIT = 64
 
@@ -191,7 +184,7 @@ class JobOutcome:
     cached: bool
     key: str
     #: Codec backend the *executing* process resolved (``matrix`` /
-    #: ``bitsliced`` / ``numpy``); the original run's backend when served
+    #: ``bitsliced``); the original run's backend when served
     #: from cache, or None for entries written before this field existed.
     backend: str | None = None
 
@@ -473,11 +466,8 @@ class ExperimentRunner:
             (``fork`` / ``spawn`` / ``forkserver``); None uses the
             platform default.  Results are identical either way — the
             backend-propagation initializer makes spawn safe.
-        backend: ``"local"`` (the in-process pool) or ``"dispatch"``
-            (remote TCP workers via :mod:`repro.dispatch`, degrading to
-            local execution when no worker infrastructure is available).
-        dispatch: dispatch knobs; None reads ``REPRO_DISPATCH_*`` from
-            the environment when the dispatch backend is selected.
+        backend: the execution backend; only ``"local"`` (the process
+            pool or inline execution) exists.
         backoff_rng: randomness for the retry jitter (injectable so
             tests stay deterministic); None draws a private RNG.
         sleep: the backoff sleep hook (injectable for tests).
@@ -493,16 +483,14 @@ class ExperimentRunner:
         checkpoint_path: str | os.PathLike | None = None,
         start_method: str | None = None,
         backend: str = "local",
-        dispatch=None,
         backoff_rng: random.Random | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if backend not in RUNNER_BACKENDS:
+        if backend != "local":
             raise ConfigurationError(
-                f"unknown runner backend {backend!r}; choose from "
-                f"{', '.join(RUNNER_BACKENDS)}"
+                f"unknown runner backend {backend!r}; the only backend is 'local'"
             )
         if start_method is not None and start_method not in (
             multiprocessing.get_all_start_methods()
@@ -525,7 +513,6 @@ class ExperimentRunner:
         self.checkpoint_path = checkpoint_path
         self.start_method = start_method
         self.backend = backend
-        self.dispatch = dispatch
         self._backoff_rng = backoff_rng
         self._sleep = sleep
         self.records: list[JobRecord] = []
@@ -537,12 +524,6 @@ class ExperimentRunner:
         #: Times the worker pool itself died (BrokenProcessPool).
         self.pool_failures = 0
         self._pool_broken = False
-        #: Times the dispatch backend was unavailable and the sweep
-        #: degraded to local execution (at most 1 per runner).
-        self.dispatch_fallbacks = 0
-        #: Coordinator summary of the last dispatch session (manifest).
-        self.dispatch_summary: dict | None = None
-        self._dispatch_unavailable = False
 
     # -- resume ----------------------------------------------------------------
 
@@ -708,21 +689,9 @@ class ExperimentRunner:
         ``harvest`` is invoked once per *successful* job, in submission
         order within each attempt, so caching/checkpointing happens as
         results arrive rather than at sweep end.
-
-        With ``backend="dispatch"`` the whole batch goes to the remote
-        coordinator first: its ledger already applies bounded retries
-        with jittered backoff per job, so dispatch failures come back
-        final, and only *leftover* jobs (workers ran out mid-sweep) plus
-        an unavailable dispatch infrastructure fall through to the local
-        path below.
         """
         errors: dict[int, Exception] = {}
         pending: list[tuple[int, JobSpec]] = list(enumerate(specs))
-        dispatch_errors: dict[int, Exception] = {}
-        if pending and self.backend == "dispatch" and not self._dispatch_unavailable:
-            dispatch_failed, pending = self._attempt_dispatch(pending, harvest)
-            for index, _, exc in dispatch_failed:
-                dispatch_errors[index] = exc
         backoff = DecorrelatedJitter(
             self.retry_backoff_s, 30.0, rng=self._backoff_rng
         )
@@ -758,50 +727,7 @@ class ExperimentRunner:
                 errors[index] = exc
                 pending.append((index, spec))
             pending.sort()
-        final = {index: errors[index] for index, _ in pending}
-        final.update(dispatch_errors)
-        return final
-
-    def _attempt_dispatch(
-        self,
-        pending: list[tuple[int, JobSpec]],
-        harvest: Callable[[int, tuple], None],
-    ) -> tuple[list[tuple[int, JobSpec, Exception]], list[tuple[int, JobSpec]]]:
-        """Run the batch through the dispatch backend; degrade on failure.
-
-        Mirrors :meth:`_attempt_pool`'s contract.  An unavailable
-        dispatch infrastructure (cannot bind, no workers) is *not* an
-        error: it logs one warning, bumps :attr:`dispatch_fallbacks`,
-        and returns every job as leftover for local execution.
-        """
-        from repro.dispatch.backend import DispatchBackend
-        from repro.dispatch.coordinator import DispatchConfig
-        from repro.errors import DispatchUnavailableError
-
-        config = self.dispatch if self.dispatch is not None else DispatchConfig.from_env()
-        backend = DispatchBackend(config)
-        try:
-            failed, leftover = backend.execute(pending, harvest)
-        except DispatchUnavailableError as exc:
-            self._dispatch_unavailable = True
-            self.dispatch_fallbacks += 1
-            self.dispatch_summary = backend.summary
-            logger.warning(
-                "dispatch backend unavailable (%s); falling back to the "
-                "local process pool for this sweep",
-                exc,
-            )
-            return [], pending
-        self.dispatch_summary = backend.summary
-        if leftover:
-            logger.warning(
-                "dispatch completed %d/%d job(s) before running out of "
-                "workers; finishing the remaining %d locally",
-                len(pending) - len(leftover) - len(failed),
-                len(pending),
-                len(leftover),
-            )
-        return failed, leftover
+        return {index: errors[index] for index, _ in pending}
 
     def _attempt_pool(
         self,
@@ -965,12 +891,6 @@ class ExperimentRunner:
             "parallelism": {
                 "jobs": self.jobs,
                 "start_method": self.start_method,
-                "backend": self.backend,
-            },
-            "dispatch": {
-                "backend": self.backend,
-                "fallbacks": self.dispatch_fallbacks,
-                "summary": self.dispatch_summary,
             },
             # Which codec engines actually computed results this run —
             # workers report their resolved backend per job, so a forced
@@ -1042,7 +962,6 @@ def configure_runner(
     checkpoint_path: str | os.PathLike | None = None,
     start_method: str | None = None,
     backend: str = "local",
-    dispatch=None,
 ) -> ExperimentRunner:
     """Install (and return) the process-wide default runner.
 
@@ -1053,9 +972,7 @@ def configure_runner(
         retries: extra attempts for failed/timed-out jobs.
         checkpoint_path: incremental checkpoint manifest path.
         start_method: worker-pool start method (None = platform default).
-        backend: execution backend, ``"local"`` or ``"dispatch"``.
-        dispatch: :class:`repro.dispatch.DispatchConfig` knobs (None
-            reads ``REPRO_DISPATCH_*`` when dispatch is selected).
+        backend: execution backend; only ``"local"`` is accepted.
     """
     global _default_runner
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -1067,7 +984,6 @@ def configure_runner(
         checkpoint_path=checkpoint_path,
         start_method=start_method,
         backend=backend,
-        dispatch=dispatch,
     )
     return _default_runner
 
@@ -1077,10 +993,10 @@ def get_runner() -> ExperimentRunner:
 
     ``REPRO_JOBS`` (int), ``REPRO_CACHE_DIR`` (path),
     ``REPRO_JOB_TIMEOUT_S`` (float), ``REPRO_RETRIES`` (int),
-    ``REPRO_CHECKPOINT`` (path), ``REPRO_POOL_START_METHOD``
-    (``fork``/``spawn``/``forkserver``), and ``REPRO_RUNNER_BACKEND``
-    (``local``/``dispatch``) configure it; with none set the default is
-    serial and memory-only, matching the pre-runner behavior exactly.
+    ``REPRO_CHECKPOINT`` (path), and ``REPRO_POOL_START_METHOD``
+    (``fork``/``spawn``/``forkserver``) configure it; with none set the
+    default is serial and memory-only, matching the pre-runner behavior
+    exactly.
     """
     global _default_runner
     if _default_runner is None:
@@ -1090,7 +1006,6 @@ def get_runner() -> ExperimentRunner:
         retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
         checkpoint = os.environ.get("REPRO_CHECKPOINT") or None
         start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
-        backend = os.environ.get(BACKEND_ENV_VAR) or "local"
         _default_runner = configure_runner(
             jobs=max(1, jobs),
             cache_dir=cache_dir,
@@ -1098,7 +1013,6 @@ def get_runner() -> ExperimentRunner:
             retries=max(0, retries),
             checkpoint_path=checkpoint,
             start_method=start_method,
-            backend=backend,
         )
     return _default_runner
 

@@ -68,24 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
             "fidelity",
             "validate",
             "fleet",
-            "serve",
-            "workers",
-            "dispatch",
             "dse",
             "tune",
         ],
         help="exhibit to regenerate ('list' to enumerate, 'all' for everything, "
         "'report' for a markdown report via --output), a trace tool "
         "(trace-gen / trace-sim), a codec fault-injection campaign "
-        "(fault-inject), a control-plane or worker-fault chaos campaign "
-        "(chaos), the paper-claim conformance gate (fidelity), the "
+        "(fault-inject), a control-plane chaos campaign (chaos), the "
+        "paper-claim conformance gate (fidelity), the "
         "analytic-vs-Monte-Carlo cross-checks (validate), a fleet-scale "
-        "population study (fleet), the policy-advisory service (serve), "
-        "a dispatch worker attached to a coordinator (workers), a "
-        "distributed-dispatch verification sweep (dispatch), a "
-        "design-space exploration producing a Pareto frontier + knee "
-        "report (dse), or the learned per-workload operating-point "
-        "tuner with its golden drift check (tune)",
+        "population study (fleet), a design-space exploration producing "
+        "a Pareto frontier + knee report (dse), or the learned "
+        "per-workload operating-point tuner with its golden drift check "
+        "(tune)",
     )
     parser.add_argument(
         "--instructions",
@@ -192,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="metadata",
         help="chaos campaign: a named control-plane campaign (metadata, "
         "all) or comma-separated fault-class names (see "
-        "repro.chaos.FAULT_CLASSES), or a worker-fault campaign "
-        "(workers, workers-smoke) or comma-separated dispatch fault "
-        "scenarios (see repro.chaos.WORKER_SCENARIOS)",
+        "repro.chaos.FAULT_CLASSES)",
     )
     parser.add_argument(
         "--no-scrub",
@@ -352,92 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S,S,...",
         help="fleet: comma-separated policy schemes to evaluate per device "
         "(default baseline,secded,mecc)",
-    )
-    parser.add_argument(
-        "--index-out",
-        default=None,
-        metavar="PATH",
-        help="fleet: also write the policy-advisory index (for 'repro "
-        "serve --index') as JSON to PATH",
-    )
-    parser.add_argument(
-        "--index",
-        default=None,
-        metavar="PATH",
-        help="serve: load the policy index from PATH (from 'repro fleet "
-        "--index-out'); default: build one in-process first",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="serve: listen on this TCP port (JSON lines; 0 picks a free "
-        "port); without --port, --self-test is required",
-    )
-    parser.add_argument(
-        "--self-test",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve: fire N concurrent in-process requests through the "
-        "service, print the latency/disposition report, and exit "
-        "nonzero if any request is lost (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=200,
-        help="serve --self-test: in-flight request cap (default 200)",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        help="serve: bounded request-queue capacity; submissions beyond "
-        "it are rejected immediately with an overload error "
-        "(default 256)",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=4,
-        help="serve: concurrent worker tasks draining the request queue "
-        "(default 4)",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="serve: per-request deadline including queue wait (default 1.0)",
-    )
-    parser.add_argument(
-        "--runner-backend",
-        default=None,
-        choices=("local", "dispatch"),
-        help="execution backend for simulation jobs (default: "
-        "$REPRO_RUNNER_BACKEND or local); 'dispatch' fans jobs out to "
-        "worker processes over TCP with lease-based fault tolerance "
-        "and degrades to the local pool if no worker ever connects",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="workers: coordinator address to attach to (printed by the "
-        "dispatch coordinator at bind time)",
-    )
-    parser.add_argument(
-        "--worker-id",
-        default=None,
-        help="workers: stable worker identity (default: w-<pid>)",
-    )
-    parser.add_argument(
-        "--dispatch-workers",
-        type=int,
-        default=None,
-        help="dispatch: local worker processes to spawn for the "
-        "verification sweep (default: $REPRO_DISPATCH_WORKERS or 2)",
     )
     parser.add_argument(
         "--tolerance",
@@ -639,39 +546,13 @@ def _fault_inject(args) -> int:
     return 0
 
 
-def _worker_chaos(names) -> int:
-    """Run the dispatch worker-fault campaign; nonzero on any violation."""
-    from repro.chaos import WorkerChaosCampaign, resolve_worker_scenarios
-    from repro.errors import ConfigurationError
-
-    try:
-        campaign = WorkerChaosCampaign(resolve_worker_scenarios(names))
-    except ConfigurationError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
-    report = campaign.run()
-    print(report.render_table())
-    return 0 if report.ok else 1
-
-
 def _chaos(args) -> int:
-    from repro.chaos import (
-        CAMPAIGNS,
-        ChaosCampaign,
-        WORKER_CAMPAIGNS,
-        WORKER_SCENARIOS,
-        resolve_classes,
-    )
+    from repro.chaos import CAMPAIGNS, ChaosCampaign, resolve_classes
     from repro.errors import ConfigurationError
 
-    worker_names = WORKER_CAMPAIGNS.get(args.campaign)
-    if worker_names is not None:
-        return _worker_chaos(worker_names)
     names = CAMPAIGNS.get(args.campaign)
     if names is None:
         names = tuple(n.strip() for n in args.campaign.split(",") if n.strip())
-        if names and all(name in WORKER_SCENARIOS for name in names):
-            return _worker_chaos(names)
     try:
         classes = resolve_classes(names)
         campaign = ChaosCampaign(
@@ -693,101 +574,6 @@ def _chaos(args) -> int:
         registry.record_chaos(report)
         registry.write_json(args.metrics_out)
         print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    return 0
-
-
-def _workers(args) -> int:
-    """Attach one dispatch worker to a running coordinator."""
-    import asyncio
-
-    from repro.dispatch.worker import worker_main
-
-    if not args.connect:
-        print("workers requires --connect HOST:PORT", file=sys.stderr)
-        return 2
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print("--connect must look like HOST:PORT", file=sys.stderr)
-        return 2
-    try:
-        return asyncio.run(
-            worker_main(host, int(port), worker_id=args.worker_id)
-        )
-    except KeyboardInterrupt:
-        return 0
-
-
-def _dispatch(args) -> int:
-    """Distributed-dispatch verification sweep.
-
-    Runs a small benchmark x policy grid through the dispatch backend
-    with spawned local workers, then recomputes every job in-process
-    and diffs the results — exit 1 on any lost job, failed job, or
-    payload that is not bit-identical to local execution.
-    """
-    from repro.analysis.runner import JobSpec, execute_job
-    from repro.dispatch import DispatchBackend, DispatchConfig
-    from repro.errors import DispatchUnavailableError
-    from repro.workloads.spec import BENCHMARKS_BY_NAME
-
-    overrides = {}
-    if args.dispatch_workers is not None:
-        overrides["workers"] = max(1, args.dispatch_workers)
-    config = DispatchConfig.from_env(**overrides)
-    specs = [
-        JobSpec(
-            benchmark=BENCHMARKS_BY_NAME[name],
-            instructions=args.instructions,
-            policy=policy,
-        )
-        for name in ("libq", "milc")
-        for policy in ("mecc", "secded")
-    ]
-    pending = list(enumerate(specs))
-    harvested: dict[int, dict] = {}
-
-    def harvest(index, triple):
-        harvested[index] = triple[0].to_dict()
-
-    backend = DispatchBackend(config)
-    try:
-        failed, leftover = backend.execute(pending, harvest)
-    except DispatchUnavailableError as exc:
-        print(f"dispatch: {exc}", file=sys.stderr)
-        return 1
-    mismatches = sum(
-        1
-        for index, payload in harvested.items()
-        if payload != execute_job(specs[index])[0].to_dict()
-    )
-    summary = backend.summary or {}
-    print(format_table(
-        ["metric", "value"],
-        [[k, v] for k, v in sorted(summary.items()) if not isinstance(v, list)],
-        title=(
-            f"dispatch verification: {len(specs)} jobs, "
-            f"{config.workers} worker(s)"
-        ),
-    ))
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_dispatch(summary)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    problems = []
-    if failed:
-        problems.append(f"{len(failed)} job(s) failed")
-    if leftover:
-        problems.append(f"{len(leftover)} job(s) never completed")
-    if mismatches:
-        problems.append(f"{mismatches} result(s) differ from local execution")
-    if problems:
-        for problem in problems:
-            print(f"DISPATCH VIOLATION: {problem}", file=sys.stderr)
-        return 1
-    print(f"all {len(specs)} dispatched results bit-identical to local execution")
     return 0
 
 
@@ -889,31 +675,26 @@ def _fidelity(args, runner) -> int:
     return 0 if report.passed and golden_ok else 1
 
 
-def _build_fleet_simulator(args):
+def _fleet(args, runner) -> int:
+    """Simulate a persona-mixed device fleet; print the summary table."""
+    from repro.errors import ConfigurationError
     from repro.fleet import FleetSimulator, PopulationModel, parse_mix
 
-    mix = parse_mix(args.mix) if args.mix else None
     schemes = (
         tuple(s.strip() for s in args.schemes.split(",") if s.strip())
         if args.schemes
         else None
     )
-    population = PopulationModel(mix=mix, seed=args.fleet_seed)
     kwargs = {"run": ScaledRun(instructions=args.instructions)}
     if schemes:
         kwargs["schemes"] = schemes
-    return FleetSimulator(
-        population, shard_size=max(1, args.shard_size), **kwargs
-    )
-
-
-def _fleet(args, runner) -> int:
-    """Simulate a persona-mixed device fleet; print the summary table."""
-    from repro.errors import ConfigurationError
-    from repro.fleet import PolicyIndex
-
     try:
-        simulator = _build_fleet_simulator(args)
+        population = PopulationModel(
+            mix=parse_mix(args.mix) if args.mix else None, seed=args.fleet_seed
+        )
+        simulator = FleetSimulator(
+            population, shard_size=max(1, args.shard_size), **kwargs
+        )
         report = simulator.simulate(max(1, args.devices))
     except ConfigurationError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
@@ -934,9 +715,6 @@ def _fleet(args, runner) -> int:
             _json.dump(report.as_dict(), stream, indent=2, sort_keys=True)
             stream.write("\n")
         print(f"wrote fleet report to {args.output}")
-    if args.index_out:
-        path = PolicyIndex.build(simulator).save(args.index_out)
-        print(f"wrote policy index to {path}")
     from repro.analysis.report import render_runner_summary
 
     if args.manifest:
@@ -955,86 +733,6 @@ def _fleet(args, runner) -> int:
     if runner_summary:
         print(runner_summary)
     return 0
-
-
-def _serve(args, runner) -> int:
-    """Run the advisory service: TCP listener and/or in-process self-test."""
-    import asyncio
-
-    from repro.errors import ConfigurationError
-    from repro.fleet import AdvisoryService, PolicyIndex, run_request_storm
-
-    if args.port is None and args.self_test is None:
-        print("serve requires --port and/or --self-test N", file=sys.stderr)
-        return 2
-    try:
-        if args.index:
-            index = PolicyIndex.load(args.index)
-        else:
-            index = PolicyIndex.build(_build_fleet_simulator(args))
-        service = AdvisoryService(
-            index,
-            max_queue=args.queue_limit,
-            workers=args.service_workers,
-            request_timeout_s=args.request_timeout,
-        )
-    except ConfigurationError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-
-    async def _run() -> int:
-        status = 0
-        await service.start()
-        if args.self_test is not None:
-            n = max(1, args.self_test)
-            # Deterministic profile sweep across the idle-fraction band.
-            profiles = [
-                {"idle_fraction": 0.55 + 0.44 * (i % 89) / 88.0}
-                for i in range(n)
-            ]
-            outcomes = await run_request_storm(
-                service, profiles, concurrency=max(1, args.concurrency)
-            )
-            accounted = sum(outcomes.values())
-            print(format_table(
-                ["disposition", "count"],
-                sorted(outcomes.items()),
-                title=f"serve self-test: {n} requests, "
-                f"concurrency {args.concurrency}",
-            ))
-            if accounted != n or outcomes["error"]:
-                status = 1
-        if args.port is not None and status == 0:
-            server = await service.serve_tcp(port=args.port)
-            host, port = server.sockets[0].getsockname()[:2]
-            print(f"advisory service listening on {host}:{port} "
-                  "(JSON lines; Ctrl-C to stop)", flush=True)
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-        await service.stop()
-        return status
-
-    try:
-        status = asyncio.run(_run())
-    except KeyboardInterrupt:
-        status = 0
-    snapshot = service.metrics_snapshot()
-    print(format_table(
-        ["metric", "value"],
-        [[k, v] for k, v in sorted(snapshot.items())],
-        title="advisory-service request metrics",
-    ))
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.record_service(service)
-        registry.record_runner(runner)
-        registry.write_json(args.metrics_out)
-        print(f"wrote {len(registry)} metrics to {args.metrics_out}")
-    return status
 
 
 def _report(args, runner) -> int:
@@ -1285,9 +983,6 @@ def _configure_runner(args):
     retries = args.retries
     if retries is None:
         retries = int(os.environ.get("REPRO_RETRIES", "0") or "0")
-    backend = args.runner_backend
-    if backend is None:
-        backend = os.environ.get("REPRO_RUNNER_BACKEND") or "local"
     # A resumed sweep keeps checkpointing to the same manifest unless
     # the user redirects it explicitly.
     checkpoint = args.checkpoint or args.resume or None
@@ -1298,7 +993,6 @@ def _configure_runner(args):
         retries=max(0, retries),
         checkpoint_path=checkpoint,
         start_method=os.environ.get("REPRO_POOL_START_METHOD") or None,
-        backend=backend,
     )
     if args.resume:
         if cache_dir is None:
@@ -1325,8 +1019,6 @@ def _finish_runner(args, runner) -> None:
         registry = MetricsRegistry()
         registry.record_runner(runner)
         registry.record_codec_backend()
-        if runner.dispatch_summary is not None:
-            registry.record_dispatch(runner.dispatch_summary)
         registry.write_json(args.metrics_out)
         print(f"wrote {len(registry)} metrics to {args.metrics_out}")
     summary = render_runner_summary(runner)
@@ -1353,17 +1045,11 @@ def main(argv: list[str] | None = None) -> int:
         return _chaos(args)
     if args.exhibit == "validate":
         return _validate(args)
-    if args.exhibit == "workers":
-        return _workers(args)
-    if args.exhibit == "dispatch":
-        return _dispatch(args)
     runner = _configure_runner(args)
     if args.exhibit == "fidelity":
         return _fidelity(args, runner)
     if args.exhibit == "fleet":
         return _fleet(args, runner)
-    if args.exhibit == "serve":
-        return _serve(args, runner)
     if args.exhibit == "dse":
         return _dse(args, runner)
     if args.exhibit == "tune":

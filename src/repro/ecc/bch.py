@@ -253,8 +253,8 @@ class BchCode:
     def encode_batch(self, datas: Iterable[int]) -> list[int]:
         """Encode many data words; equivalent to ``[encode(d) for d in datas]``.
 
-        Large batches go through the active lane engine (bit-sliced or
-        numpy, see :mod:`repro.ecc.backend`): one transpose, one compiled
+        Large batches go through the active lane engine (bit-sliced, see
+        :mod:`repro.ecc.backend`): one transpose, one compiled
         parity fold, one untranspose for the whole batch.  Small batches
         and the ``matrix`` backend take the scalar loop, which binds the
         hot tables locally — that still matters for the Monte-Carlo

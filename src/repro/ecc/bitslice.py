@@ -21,11 +21,9 @@ per-*bit-position* loop over the whole batch:
   grouping), so a dense 512x60 generator matrix costs ~8k slice XORs
   per batch instead of ~15k.
 
-The engine API is mirrored by the numpy backend
-(:mod:`repro.ecc.npback`); :mod:`repro.ecc.backend` selects between
-them at runtime.  Lane ``i`` always corresponds to input word ``i`` in
-both engines, so masks produced by :func:`or_reduce` can be consumed
-interchangeably.
+:mod:`repro.ecc.backend` selects between this engine and the scalar
+matrix path at runtime.  Lane ``i`` always corresponds to input word
+``i``, so masks produced by :func:`or_reduce` line up with the batch.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ class CodecCounters:
         corrected_histogram: map ``bits corrected per word -> word count``
             over successful decodes (key 0 counts clean words).
         backend_ops: map ``backend name -> words`` processed through that
-            backend's *batch* path (``bitsliced``/``numpy``; batch calls
+            backend's *batch* path (``bitsliced``; batch calls
             served by the scalar loop record under ``matrix``).  Per-word
             scalar calls deliberately do not record, keeping the hot
             loop free of extra dict traffic.

@@ -89,9 +89,8 @@ def cached_tables(key: tuple, builder: Callable[[], Any], backend: str = "matrix
 
     Keys are namespaced by the codec module (e.g. ``("bch", t, k, m, g)``)
     so one process-wide cache serves every code family.  The ``backend``
-    name is part of the effective key: chunk tables (ints), bitsliced
-    compiled maps, and numpy index maps for the *same* code parameters
-    are distinct entries, so switching ``REPRO_CODEC_BACKEND``
+    name is part of the effective key: chunk tables (ints) and bitsliced
+    compiled maps for the *same* code parameters are distinct entries, so switching ``REPRO_CODEC_BACKEND``
     mid-process can never hand one fold path another backend's tables.
     """
     global _HITS, _MISSES

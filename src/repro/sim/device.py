@@ -115,16 +115,17 @@ class DeviceSimulator:
         self.calculator = DramPowerCalculator(self.config.power)
         self.device = DramDevice(org=self.config.org)
         self.report = DeviceReport(scheme=scheme)
-        self._trace_cache: dict[str, Trace] = {}
+        #: Keyed by the frozen spec, so a reseeded spec gets its own trace.
+        self._trace_cache: dict[BenchmarkSpec, Trace] = {}
 
     # -- session steps ----------------------------------------------------------
 
     def run_burst(self, spec: BenchmarkSpec) -> BurstOutcome:
         """One active burst running ``spec``'s workload."""
-        trace = self._trace_cache.get(spec.name)
+        trace = self._trace_cache.get(spec)
         if trace is None:
             trace = spec.trace(self.run.instructions)
-            self._trace_cache[spec.name] = trace
+            self._trace_cache[spec] = trace
         if self.scheme == "mecc+smd":
             policy = self.config.policy_by_name(
                 "mecc+smd", quantum_cycles=self.run.quantum_cycles

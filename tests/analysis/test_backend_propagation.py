@@ -22,7 +22,7 @@ import multiprocessing
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, JobSpec, ResultCache
-from repro.ecc.backend import available_backends, reset_backend, set_backend
+from repro.ecc.backend import reset_backend, set_backend
 from repro.errors import ConfigurationError
 from repro.sim.system import ScaledRun
 from repro.workloads.spec import BENCHMARKS_BY_NAME
@@ -103,11 +103,10 @@ class TestWorkerBackendPropagation:
     def test_fork_workers_also_report(self):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        backend = "numpy" if "numpy" in available_backends() else "matrix"
-        set_backend(backend)
+        set_backend("matrix")
         runner = ExperimentRunner(jobs=2, start_method="fork")
         outcomes = runner.run([spec_for("baseline"), spec_for("mecc")])
-        assert {o.backend for o in outcomes.values()} == {backend}
+        assert {o.backend for o in outcomes.values()} == {"matrix"}
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,9 @@ from repro.analysis.runner import (
     JobSpec,
     ResultCache,
     code_fingerprint,
+    configure_runner,
 )
+from repro.errors import ConfigurationError
 from repro.sim.system import ScaledRun, SystemConfig
 from repro.workloads.spec import BENCHMARKS_BY_NAME
 
@@ -185,6 +187,30 @@ class TestManifest:
         runner.run([spec_for("baseline"), spec_for("mecc")])
         text = render_runner_summary(runner)
         assert "baseline" in text and "mecc" in text and "TOTAL" in text
+
+
+class TestBackendContract:
+    """``local`` is the only execution backend; the keyword stays."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_runner(self):
+        yield
+        configure_runner(jobs=1, cache_dir=None)
+
+    def test_local_backend_configures_a_local_runner(self, tmp_path):
+        runner = configure_runner(jobs=1, cache_dir=tmp_path, backend="local")
+        assert runner.backend == "local"
+        runner.run([spec_for("baseline")])
+        manifest = runner.manifest()
+        assert manifest["parallelism"]["jobs"] == 1
+        assert "dispatch" not in manifest
+
+    @pytest.mark.parametrize("backend", ["dispatch", "remote", ""])
+    def test_other_backends_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="only backend is 'local'"):
+            configure_runner(jobs=1, backend=backend)
+        with pytest.raises(ConfigurationError):
+            ExperimentRunner(backend=backend)
 
 
 class TestTraceMemo:

@@ -1,9 +1,8 @@
-"""Differential harness across codec backends: matrix vs bitsliced vs numpy.
+"""Differential harness across codec backends: matrix vs bitsliced.
 
-The batch hot paths carry three interchangeable implementations — the
-scalar matrix fold, the pure-python bitsliced lane engine, and the numpy
-``uint64`` engine — plus the polynomial/per-bit reference decoders as
-the ground-truth oracle.  Every backend must produce *bit-identical*
+The batch hot paths carry two interchangeable implementations — the
+scalar matrix fold and the pure-python bitsliced lane engine — plus the
+polynomial/per-bit reference decoders as the ground-truth oracle.  Every backend must produce *bit-identical*
 words, check verdicts, and decode outcomes, including:
 
 * batches whose length is not a multiple of the 64-lane width (tails),
@@ -23,7 +22,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.ecc import backend as backend_mod
 from repro.ecc.backend import available_backends, reset_backend, set_backend
 from repro.ecc.bch import BchCode
 from repro.ecc.hamming import SecDedCode
@@ -33,9 +31,8 @@ from repro.errors import UncorrectableError
 #: Small data length keeps the polynomial oracle affordable per example.
 DATA_BITS = 40
 
-#: Batch backends under differential comparison (numpy only when importable).
-BACKENDS = [name for name in ("matrix", "bitsliced", "numpy")
-            if name in available_backends()]
+#: Batch backends under differential comparison.
+BACKENDS = available_backends()
 
 _bch = BchCode(t=3, data_bits=DATA_BITS)
 _bch_ext = BchCode(t=2, data_bits=DATA_BITS, extended=True)
@@ -228,15 +225,8 @@ class TestCounterAgreement:
             _under(name, lambda: code.decode_batch(words))
             snap = code.counters.as_dict()
             ops = snap.pop("backend_ops")
-            resolved = "bitsliced" if name == "numpy" and "numpy" not in (
-                available_backends()) else name
-            assert set(ops) == {resolved}, (name, ops)
+            assert set(ops) == {name}, (name, ops)
             snapshots[name] = snap
         first = snapshots[BACKENDS[0]]
         for name, snap in snapshots.items():
             assert snap == first, (name, snap, first)
-
-    def test_fallback_counter_tracks_numpy_misses(self):
-        info = backend_mod.selection_info()
-        assert set(info) == {"requested", "selected", "fallbacks"}
-        assert info["fallbacks"] >= 0

@@ -1,16 +1,6 @@
-"""Backend selection: env/CLI resolution, numpy-missing fallback, cache keys.
-
-The contract under test: requesting ``REPRO_CODEC_BACKEND=numpy`` on a
-machine without numpy must *never* crash — it falls back to the
-bitsliced engine, warns exactly once per process, and counts the
-fallback where :meth:`repro.obs.metrics.MetricsRegistry.record_codec_backend`
-exports it.  numpy is simulated missing by poisoning ``sys.modules``
-(the stdlib-sanctioned way to make ``import numpy`` raise ImportError).
-"""
+"""Backend selection: env/CLI resolution, rejected names, cache keys."""
 
 import random
-import sys
-import warnings
 
 import pytest
 
@@ -18,7 +8,6 @@ from repro.ecc import backend as backend_mod
 from repro.ecc import matrix
 from repro.ecc.backend import (
     available_backends,
-    engine_for,
     get_engine,
     requested_backend,
     reset_backend,
@@ -33,45 +22,19 @@ from repro.obs.metrics import MetricsRegistry
 
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
-    """Every test starts from an unresolved, unwarned selection state."""
+    """Every test starts from an unresolved selection state."""
     monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
     reset_backend()
     yield
     reset_backend()
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Make ``import numpy`` raise ImportError for the duration of a test."""
-    monkeypatch.setitem(sys.modules, "numpy", None)
-
-
 class TestResolution:
     def test_default_is_auto(self):
         assert requested_backend() == "auto"
-        assert selected_backend() in ("numpy", "bitsliced")
-
-    def test_auto_prefers_bitsliced_over_numpy(self):
-        """Regression: auto used to pick numpy whenever it imported, but
-        bench_codec_micro measures bitsliced ~5.5-6x vs numpy ~2-3x over
-        the matrix fold — auto must pick the faster engine even on a
-        machine where numpy is available."""
-        if "numpy" not in available_backends():
-            pytest.skip("numpy not importable; preference is untestable")
         assert selected_backend() == "bitsliced"
         assert get_engine().name == "bitsliced"
-        assert selection_info() == {
-            "requested": "auto",
-            "selected": "bitsliced",
-            "fallbacks": 0,
-        }
-
-    def test_numpy_still_selectable_explicitly(self):
-        if "numpy" not in available_backends():
-            pytest.skip("numpy not importable")
-        set_backend("numpy")
-        assert selected_backend() == "numpy"
-        assert get_engine().name == "numpy"
+        assert selection_info() == {"requested": "auto", "selected": "bitsliced"}
 
     def test_env_variable_selects(self, monkeypatch):
         monkeypatch.setenv(backend_mod.ENV_VAR, "matrix")
@@ -85,88 +48,33 @@ class TestResolution:
         assert get_engine().name == "bitsliced"
 
     def test_unknown_names_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            set_backend("cuda")
-        monkeypatch.setenv(backend_mod.ENV_VAR, "cuda")
-        with pytest.raises(ConfigurationError):
-            selected_backend()
-        with pytest.raises(ConfigurationError):
-            engine_for("cuda")
+        for name in ("cuda", "numpy"):
+            reset_backend()
+            with pytest.raises(ConfigurationError):
+                set_backend(name)
+            monkeypatch.setenv(backend_mod.ENV_VAR, name)
+            with pytest.raises(ConfigurationError):
+                selected_backend()
 
     def test_matrix_and_bitsliced_always_available(self):
-        names = available_backends()
-        assert "matrix" in names and "bitsliced" in names
-
-
-class TestNumpyFallback:
-    def test_numpy_request_falls_back_to_bitsliced(self, no_numpy):
-        set_backend("numpy")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = get_engine()
-        assert engine is not None and engine.name == "bitsliced"
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "falling back" in str(runtime[0].message)
-        assert selection_info()["fallbacks"] == 1
-
-    def test_warning_fires_once_per_process(self, no_numpy, monkeypatch):
-        set_backend("numpy")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            get_engine()
-            # Second resolution of a *fresh* request string must stay silent.
-            backend_mod._resolved.clear()
-            get_engine()
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-
-    def test_auto_without_numpy_is_silent(self, no_numpy):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = get_engine()
-        assert engine.name == "bitsliced"
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert selection_info()["fallbacks"] == 0
-
-    def test_codec_still_decodes_after_fallback(self, no_numpy):
-        """End to end: numpy requested, numpy missing, batches still work."""
-        set_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = BchCode(t=2, data_bits=40)
-            rng = random.Random(5)
-            datas = [rng.getrandbits(40) for _ in range(64)]
-            words = code.encode_batch(datas)
-            assert [r.data for r in code.decode_batch(words)] == datas
-        assert "bitsliced" in code.counters.backend_ops
-
-    def test_engine_for_does_not_fall_back(self, no_numpy):
-        with pytest.raises(ConfigurationError):
-            engine_for("numpy")
-
-    def test_available_backends_drops_numpy(self, no_numpy):
         assert available_backends() == ["matrix", "bitsliced"]
 
-    def test_metrics_export_carries_fallback_count(self, no_numpy):
-        set_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            get_engine()
+    def test_metrics_export_carries_selection(self):
+        set_backend("matrix")
         registry = MetricsRegistry()
         registry.record_codec_backend()
-        snap = registry.namespace("ecc.backend")
-        assert snap["requested"] == "numpy"
-        assert snap["selected"] == "bitsliced"
-        assert snap["fallbacks"] == 1
+        assert registry.namespace("ecc.backend") == {
+            "requested": "matrix",
+            "selected": "matrix",
+        }
 
 
 class TestCacheKeying:
     """Regression: compiled tables must be keyed by (backend, code params).
 
     Before the fix, ``cached_tables`` keyed on code parameters alone, so
-    switching backends mid-process handed the bitsliced fold a numpy map
-    (or vice versa).  The effective key now leads with the backend name.
+    switching backends mid-process could hand one fold path another
+    engine's tables.  The effective key now leads with the backend name.
     """
 
     def test_same_params_distinct_backends_distinct_entries(self):
@@ -183,11 +91,8 @@ class TestCacheKeying:
         b = matrix.cached_tables(
             key, builder_for("bitsliced-maps"), backend="bitsliced"
         )
-        c = matrix.cached_tables(
-            key, builder_for("numpy-maps"), backend="numpy"
-        )
-        assert (a, b, c) == ("matrix-tables", "bitsliced-maps", "numpy-maps")
-        assert built == ["matrix-tables", "bitsliced-maps", "numpy-maps"]
+        assert (a, b) == ("matrix-tables", "bitsliced-maps")
+        assert built == ["matrix-tables", "bitsliced-maps"]
         # Second lookups hit, never cross-talk.
         assert matrix.cached_tables(key, builder_for("X")) == "matrix-tables"
         assert matrix.cached_tables(
@@ -195,16 +100,14 @@ class TestCacheKeying:
         ) == "bitsliced-maps"
 
     def test_codec_batches_never_share_maps_across_backends(self):
-        """Driving one code through two engines builds two map entries."""
+        """Driving one code through both paths builds a separate map entry."""
+        matrix.clear_table_cache()
         code = BchCode(t=1, data_bits=24)
         rng = random.Random(8)
         datas = [rng.getrandbits(24) for _ in range(40)]
-        set_backend("bitsliced")
-        words = code.encode_batch(datas)
-        entries_after_bitsliced = matrix.table_cache_info()["entries"]
-        if "numpy" in available_backends():
-            set_backend("numpy")
-            assert code.encode_batch(datas) == words
-            assert matrix.table_cache_info()["entries"] > entries_after_bitsliced
         set_backend("matrix")
+        words = code.encode_batch(datas)
+        entries_after_matrix = matrix.table_cache_info()["entries"]
+        set_backend("bitsliced")
         assert code.encode_batch(datas) == words
+        assert matrix.table_cache_info()["entries"] > entries_after_matrix

@@ -9,7 +9,7 @@ Two locks on the batching work:
   every policy the paper evaluates.
 * The seeded Fig. 7 / Fig. 10 / Fig. 14 mini-sweeps must produce
   *bit-identical* numbers whichever codec backend is selected (the
-  matrix scalar loop vs the bitsliced/numpy lane engines), checked both
+  matrix scalar loop vs the bitsliced lane engine), checked both
   by exact equality and through :func:`repro.fidelity.golden.compare_golden`
   at the golden-figure tolerance.
 """
@@ -21,7 +21,7 @@ import pytest
 from repro.core.policy import MeccPolicy, NoEccPolicy, SecdedPolicy, Ecc6Policy
 from repro.core.smd import SelectiveMemoryDowngrade
 from repro.dram.controller import MemoryController
-from repro.ecc.backend import available_backends, reset_backend, set_backend
+from repro.ecc.backend import reset_backend, set_backend
 from repro.fidelity.golden import GOLDEN_RTOL, compare_golden
 from repro.sim.engine import SimulationEngine
 from repro.sim.system import ScaledRun
@@ -138,13 +138,10 @@ class TestFigureSweepsBackendInvariant:
     def test_mini_sweeps_bit_identical_across_backends(self):
         set_backend("matrix")
         reference = _mini_sweeps()
-        for name in ("bitsliced", "numpy"):
-            if name not in available_backends():
-                continue
-            set_backend(name)
-            got = _mini_sweeps()
-            # Bit-identical, not merely within tolerance...
-            assert got == reference, name
-            # ...and a fortiori within the golden-figure tolerance the
-            # fidelity gate applies to checked-in fixtures.
-            assert compare_golden(got, reference, rtol=GOLDEN_RTOL) == []
+        set_backend("bitsliced")
+        got = _mini_sweeps()
+        # Bit-identical, not merely within tolerance...
+        assert got == reference
+        # ...and a fortiori within the golden-figure tolerance the
+        # fidelity gate applies to checked-in fixtures.
+        assert compare_golden(got, reference, rtol=GOLDEN_RTOL) == []

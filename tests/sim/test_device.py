@@ -1,5 +1,7 @@
 """Tests for the whole-device simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -42,7 +44,18 @@ class TestSessionAccounting:
     def test_traces_cached_across_cycles(self):
         sim = make()
         sim.run_session(MIX, cycles=2)
-        assert set(sim._trace_cache) == {"h264ref", "sphinx"}
+        assert set(sim._trace_cache) == set(MIX)
+
+    def test_reseeded_spec_gets_its_own_trace(self):
+        """Regression: the memo was keyed by ``spec.name``, so a reseeded
+        spec replayed the earlier seed's trace."""
+        libq = BENCHMARKS_BY_NAME["libq"]
+        reseeded = dataclasses.replace(libq, seed=libq.seed + 1)
+        sim = make()
+        first = sim.run_burst(libq).result
+        second = sim.run_burst(reseeded).result
+        assert second == make().run_burst(reseeded).result
+        assert second != first
 
     def test_average_ipc(self):
         sim = make()

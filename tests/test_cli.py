@@ -181,6 +181,19 @@ class TestRunnerFlags:
                      "--cache-dir", str(cache), "--no-cache"]) == 0
         assert not cache.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--runner-backend", "local"],
+        ["fig3", "--dispatch-workers", "2"],
+        ["fleet", "--index-out", "index.json"],
+        ["serve", "--self-test", "5"],
+        ["workers", "--connect", "127.0.0.1:1"],
+        ["dispatch"],
+    ])
+    def test_removed_verbs_and_flags_exit_2_at_parse_time(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCsvExport:
     def test_csv_requires_output(self):
@@ -218,6 +231,11 @@ class TestChaosCli:
 
     def test_chaos_unknown_class_fails_cleanly(self, capsys):
         assert main(["chaos", "--campaign", "not-a-fault"]) == 2
+        assert "unknown fault class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("campaign", ["workers", "workers-smoke"])
+    def test_worker_campaigns_are_gone(self, campaign, capsys):
+        assert main(["chaos", "--campaign", campaign]) == 2
         assert "unknown fault class" in capsys.readouterr().err
 
     def test_chaos_metrics_out(self, tmp_path, capsys):
@@ -325,25 +343,19 @@ class TestFleet:
         assert "saving_fraction.mean" in out
         assert "best_policy.mecc" in out
 
-    def test_fleet_report_index_and_metrics(self, tmp_path, capsys):
+    def test_fleet_report_and_metrics(self, tmp_path, capsys):
         import json
 
         report = tmp_path / "fleet.json"
-        index = tmp_path / "index.json"
         metrics = tmp_path / "metrics.json"
         code = main([
             "fleet", *self.ARGS, "--output", str(report),
-            "--index-out", str(index), "--metrics-out", str(metrics),
+            "--metrics-out", str(metrics),
         ])
         assert code == 0
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["devices"] == 2000
         assert payload["aggregate"]["devices"] == 2000
-        from repro.fleet import PolicyIndex
-
-        assert set(PolicyIndex.load(index).personas) == {
-            "light", "moderate", "heavy",
-        }
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert snapshot["fleet.devices"] == 2000
         assert "runner.job_count" in snapshot
@@ -385,68 +397,3 @@ class TestFleet:
         assert "bogus" in err
         assert "choose from" in err
         assert "mecc" in err
-
-
-class TestServe:
-    ARGS = ["--instructions", "10000"]
-
-    def test_serve_requires_port_or_self_test(self, capsys):
-        assert main(["serve"] + self.ARGS) == 2
-        assert "--self-test" in capsys.readouterr().err
-
-    def test_serve_self_test_smoke(self, capsys):
-        code = main([
-            "serve", *self.ARGS, "--self-test", "250",
-            "--concurrency", "200", "--queue-limit", "256",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve self-test: 250 requests" in out
-        assert "latency_p50_ms" in out
-        assert "latency_p95_ms" in out
-
-    def test_serve_from_saved_index(self, tmp_path, capsys):
-        index = tmp_path / "index.json"
-        assert main([
-            "fleet", "--devices", "500", "--shard-size", "500",
-            "--instructions", "10000", "--index-out", str(index),
-        ]) == 0
-        code = main([
-            "serve", "--index", str(index), "--self-test", "50",
-            "--concurrency", "25",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "completed" in out
-
-    def test_serve_unknown_scheme_lists_valid_choices(self, capsys):
-        code = main([
-            "serve", *self.ARGS, "--self-test", "5",
-            "--schemes", "baseline,warpdrive",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown schemes" in err
-        assert "warpdrive" in err
-        assert "choose from" in err
-
-    def test_serve_missing_index_exits_2(self, tmp_path, capsys):
-        code = main([
-            "serve", "--index", str(tmp_path / "nope.json"),
-            "--self-test", "5",
-        ])
-        assert code == 2
-        assert "cannot read policy index" in capsys.readouterr().err
-
-    def test_serve_metrics_out(self, tmp_path):
-        import json
-
-        metrics = tmp_path / "metrics.json"
-        assert main([
-            "serve", *self.ARGS, "--self-test", "40",
-            "--concurrency", "20", "--metrics-out", str(metrics),
-        ]) == 0
-        snapshot = json.loads(metrics.read_text(encoding="utf-8"))
-        assert snapshot["service.requests_total"] == 40
-        assert snapshot["service.completed"] == 40
-        assert "service.latency_p95_ms" in snapshot
